@@ -172,8 +172,8 @@ void GatherBlockValues(const float* data, const size_t* strides,
 
 // Least-squares plane fit over one gathered block. On a regular grid the
 // normal equations decouple: each slope is cov(coord, v) / var(coord). The
-// reductions run through the lane-partitioned kernel so scalar and vector
-// dispatch produce bit-identical coefficients.
+// reductions run through the lane-partitioned kernel, whose summation order
+// is part of the archive format.
 RegressionCoefs FitBlock(BlockScratch* s, size_t n, const size_t* lo,
                          const size_t* hi) {
   const double mz = (static_cast<double>(hi[0] - lo[0]) - 1) / 2.0;

@@ -24,7 +24,7 @@ constexpr int kTotalPlanes = 32;         // bitplanes kept per coefficient
 constexpr int kGuardBits = 5;
 
 // The 4-point lifting transform lives in src/util/simd.h
-// (ZfpForwardTransform / ZfpInverseTransform) with a vectorized variant.
+// (ZfpForwardTransform / ZfpInverseTransform).
 
 // Coefficient traversal order: by total degree i+j+k (low-frequency first),
 // matching ZFP's permutation tables.

@@ -1,95 +1,28 @@
-// Runtime-dispatched SIMD kernels. See simd.h for the bit-exactness rules.
+// Scalar codec kernels. See simd.h for the evaluation-order contract.
 //
 // This translation unit is compiled with -ffp-contract=off (see
-// src/CMakeLists.txt) so no path gains an FMA the other lacks. Vector
-// variants live behind GCC/Clang target attributes, so the file builds at
-// the baseline ISA and still emits AVX2/SSE4.2 bodies.
+// src/CMakeLists.txt) so the compiler cannot fuse a*b+c into an FMA on
+// targets that have one: the rounding of every expression below is part
+// of the archive format.
 
 #include "src/util/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#define FXRZ_SIMD_HAVE_X86 1
-#if !defined(FXRZ_SIMD_DISABLED)
-#include <immintrin.h>
-#endif
-#endif
-#if defined(__aarch64__)
-#define FXRZ_SIMD_HAVE_NEON 1
-#if !defined(FXRZ_SIMD_DISABLED)
-#include <arm_neon.h>
-#endif
-#endif
 
 namespace fxrz {
 namespace simd {
 
 namespace {
 
-// lock-free: relaxed dispatch-level cache; racing initializers write the
-// same detected value, and ForceLevel is test-only.
-std::atomic<int> g_active{-1};  // -1 = not yet initialized
-
-// Scalar lane reduce matching how a 256-bit accumulator folds: low half +
-// high half pairwise, then horizontal add.
+// Folds a 4-lane partial sum: low pair + high pair, then across.
 inline double ReduceLanes4(const double l[4]) {
   return (l[0] + l[2]) + (l[1] + l[3]);
 }
 
-// ---------------------------------------------------------------------------
-// Scalar variants: these DEFINE the kernel semantics.
-// ---------------------------------------------------------------------------
-
 inline int32_t UnZigZag32(uint32_t u) {
   return static_cast<int32_t>((u >> 1) ^ (~(u & 1u) + 1u));
-}
-
-void DequantizeZigZagScalar(const uint32_t* codes, size_t n, double step,
-                            double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
-  }
-}
-
-double QuantizeZigZagScalar(const double* v, size_t n, double step,
-                            uint32_t* out) {
-  double max_code = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double r = std::rint(v[i] / step);
-    max_code = std::max(max_code, std::fabs(r));
-    // Out-of-range rounds mirror _mm256_cvtpd_epi32's INT32_MIN sentinel.
-    const int32_t c = std::fabs(r) < 2147483648.0 ? static_cast<int32_t>(r)
-                                                  : INT32_MIN;
-    const uint32_t u = static_cast<uint32_t>(c);
-    out[i] = (u << 1) ^ static_cast<uint32_t>(c >> 31);
-  }
-  return max_code;
-}
-
-void ShiftToDoubleScalar(const float* in, size_t n, double offset,
-                         double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(in[i]) - offset;
-  }
-}
-
-void ShiftToFloatScalar(const double* in, size_t n, double offset,
-                        float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(in[i] + offset);
-  }
-}
-
-float MaxAbsScalar(const float* in, size_t n) {
-  float m = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    m = std::max(m, std::fabs(in[i]));  // NaN loses the comparison: skipped
-  }
-  return m;
 }
 
 inline uint32_t FloatBitsToOrdered(uint32_t u) {
@@ -100,30 +33,6 @@ inline uint32_t FloatBitsToOrdered(uint32_t u) {
 inline uint32_t OrderedToFloatBits(uint32_t o) {
   const uint32_t s = static_cast<uint32_t>(static_cast<int32_t>(o) >> 31);
   return o ^ (~s | 0x80000000u);
-}
-
-void FloatToOrderedTruncScalar(const float* in, size_t n, uint32_t keep_mask,
-                               uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t u;
-    std::memcpy(&u, &in[i], 4);
-    out[i] = FloatBitsToOrdered(u) & keep_mask;
-  }
-}
-
-void OrderedToFloatsScalar(const uint32_t* in, size_t n, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t u = OrderedToFloatBits(in[i]);
-    std::memcpy(&out[i], &u, 4);
-  }
-}
-
-void QuantizeFixedPointScalar(const float* in, size_t n, double scale,
-                              int64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<int64_t>(
-        std::rint(static_cast<double>(in[i]) * scale));
-  }
 }
 
 // zfp 4-point lifting (exact copies of the codec's FwdLift/InvLift).
@@ -147,7 +56,75 @@ inline void InvLift4(int64_t* p, size_t s) {
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
-void ZfpForwardTransformScalar(int64_t* b, size_t nd) {
+}  // namespace
+
+void DequantizeZigZag(const uint32_t* codes, size_t n, double step,
+                      double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
+  }
+}
+
+double QuantizeZigZag(const double* v, size_t n, double step, uint32_t* out) {
+  double max_code = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double r = std::rint(v[i] / step);
+    max_code = std::max(max_code, std::fabs(r));
+    // Out-of-range rounds become the INT32_MIN sentinel; callers reject
+    // them through the returned maximum before using the codes.
+    const int32_t c = std::fabs(r) < 2147483648.0 ? static_cast<int32_t>(r)
+                                                  : INT32_MIN;
+    const uint32_t u = static_cast<uint32_t>(c);
+    out[i] = (u << 1) ^ static_cast<uint32_t>(c >> 31);
+  }
+  return max_code;
+}
+
+void ShiftToDouble(const float* in, size_t n, double offset, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(in[i]) - offset;
+  }
+}
+
+void ShiftToFloat(const double* in, size_t n, double offset, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(in[i] + offset);
+  }
+}
+
+float MaxAbs(const float* in, size_t n) {
+  float m = 0.0f;
+  for (size_t i = 0; i < n; ++i) {
+    m = std::max(m, std::fabs(in[i]));  // NaN loses the comparison: skipped
+  }
+  return m;
+}
+
+void FloatToOrderedTrunc(const float* in, size_t n, uint32_t keep_mask,
+                         uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t u;
+    std::memcpy(&u, &in[i], 4);
+    out[i] = FloatBitsToOrdered(u) & keep_mask;
+  }
+}
+
+void OrderedToFloats(const uint32_t* in, size_t n, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t u = OrderedToFloatBits(in[i]);
+    std::memcpy(&out[i], &u, 4);
+  }
+}
+
+void QuantizeFixedPoint(const float* in, size_t n, double scale,
+                        int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int64_t>(
+        std::rint(static_cast<double>(in[i]) * scale));
+  }
+}
+
+void ZfpForwardTransform(int64_t* b, size_t nd) {
   const size_t n = 1ull << (2 * nd);
   if (nd >= 1) {
     for (size_t row = 0; row < n; row += 4) FwdLift4(b + row, 1);
@@ -165,7 +142,7 @@ void ZfpForwardTransformScalar(int64_t* b, size_t nd) {
   }
 }
 
-void ZfpInverseTransformScalar(int64_t* b, size_t nd) {
+void ZfpInverseTransform(int64_t* b, size_t nd) {
   const size_t n = 1ull << (2 * nd);
   if (nd >= 3) {
     for (size_t y = 0; y < 4; ++y) {
@@ -183,8 +160,8 @@ void ZfpInverseTransformScalar(int64_t* b, size_t nd) {
   }
 }
 
-void CubicPredictScalar(const float* rec, size_t lin0, size_t pt_step,
-                        size_t nbr, size_t count, double* pred) {
+void CubicPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
+                  size_t count, double* pred) {
   for (size_t i = 0; i < count; ++i) {
     const size_t p = lin0 + i * pt_step;
     pred[i] = -1.0 / 16.0 * rec[p - 3 * nbr] + 9.0 / 16.0 * rec[p - nbr] +
@@ -192,16 +169,17 @@ void CubicPredictScalar(const float* rec, size_t lin0, size_t pt_step,
   }
 }
 
-void LinearPredictScalar(const float* rec, size_t lin0, size_t pt_step,
-                         size_t nbr, size_t count, double* pred) {
+void LinearPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
+                   size_t count, double* pred) {
   for (size_t i = 0; i < count; ++i) {
     const size_t p = lin0 + i * pt_step;
+    // The neighbors add in float; only the sum widens to double.
     pred[i] = 0.5 * (rec[p - nbr] + rec[p + nbr]);
   }
 }
 
-void LiftPredictContiguousScalar(double* v, size_t lin0, size_t nbr,
-                                 size_t count, bool has_right, bool forward) {
+void LiftPredictContiguous(double* v, size_t lin0, size_t nbr, size_t count,
+                           bool has_right, bool forward) {
   for (size_t i = 0; i < count; ++i) {
     const size_t p = lin0 + i;
     const double left = v[p - nbr];
@@ -214,8 +192,8 @@ void LiftPredictContiguousScalar(double* v, size_t lin0, size_t nbr,
   }
 }
 
-void PlaneFitSumsScalar(const float* vals, const double* cz, const double* cy,
-                        const double* cx, size_t n, double sums[7]) {
+void PlaneFitSums(const float* vals, const double* cz, const double* cy,
+                  const double* cx, size_t n, double sums[7]) {
   double acc[7][4] = {};
   for (size_t i = 0; i < n; ++i) {
     const size_t l = i & 3;
@@ -231,944 +209,23 @@ void PlaneFitSumsScalar(const float* vals, const double* cz, const double* cy,
   for (int k = 0; k < 7; ++k) sums[k] = ReduceLanes4(acc[k]);
 }
 
-void PlanePredictScalar(const double* cz, const double* cy, const double* cx,
-                        size_t n, double c0, double az, double ay, double ax,
-                        double* pred) {
+void PlanePredict(const double* cz, const double* cy, const double* cx,
+                  size_t n, double c0, double az, double ay, double ax,
+                  double* pred) {
   for (size_t i = 0; i < n; ++i) {
     pred[i] = c0 + az * cz[i] + ay * cy[i] + ax * cx[i];
   }
 }
 
-double PlaneAbsErrScalar(const float* vals, const double* cz, const double* cy,
-                         const double* cx, size_t n, double c0, double az,
-                         double ay, double ax) {
+double PlaneAbsErr(const float* vals, const double* cz, const double* cy,
+                   const double* cx, size_t n, double c0, double az, double ay,
+                   double ax) {
   double acc[4] = {};
   for (size_t i = 0; i < n; ++i) {
     const double p = c0 + az * cz[i] + ay * cy[i] + ax * cx[i];
     acc[i & 3] += std::fabs(static_cast<double>(vals[i]) - p);
   }
   return ReduceLanes4(acc);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// x86 vector variants (AVX2 primary; SSE4.2 for the cheap int/float maps).
-// ---------------------------------------------------------------------------
-
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-
-namespace {
-
-__attribute__((target("avx2"))) inline double Reduce256(__m256d v) {
-  const __m128d s =
-      _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-__attribute__((target("avx2"))) inline __m128i UnZigZag32Avx2(__m128i u) {
-  const __m128i half = _mm_srli_epi32(u, 1);
-  const __m128i sign = _mm_sub_epi32(_mm_setzero_si128(),
-                                     _mm_and_si128(u, _mm_set1_epi32(1)));
-  return _mm_xor_si128(half, sign);
-}
-
-__attribute__((target("avx2"))) void DequantizeZigZagAvx2(
-    const uint32_t* codes, size_t n, double step, double* out) {
-  const __m256d vstep = _mm256_set1_pd(step);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    const __m256d d = _mm256_cvtepi32_pd(UnZigZag32Avx2(u));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(d, vstep));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
-  }
-}
-
-__attribute__((target("avx2"))) double QuantizeZigZagAvx2(const double* v,
-                                                          size_t n,
-                                                          double step,
-                                                          uint32_t* out) {
-  const __m256d vinv = _mm256_set1_pd(step);
-  const __m256d abs_mask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-  __m256d vmax = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d r = _mm256_round_pd(
-        _mm256_div_pd(_mm256_loadu_pd(v + i), vinv),
-        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    const __m256d a = _mm256_and_pd(r, abs_mask);
-    // max(acc, a) with NaN losing, mirroring std::max.
-    vmax = _mm256_blendv_pd(vmax, a, _mm256_cmp_pd(vmax, a, _CMP_LT_OQ));
-    const __m128i c = _mm256_cvtpd_epi32(r);
-    const __m128i zz = _mm_xor_si128(_mm_slli_epi32(c, 1),
-                                     _mm_srai_epi32(c, 31));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), zz);
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, vmax);
-  double max_code = std::max(std::max(lanes[0], lanes[2]),
-                             std::max(lanes[1], lanes[3]));
-  for (; i < n; ++i) {
-    const double r = std::rint(v[i] / step);
-    max_code = std::max(max_code, std::fabs(r));
-    const int32_t c = std::fabs(r) < 2147483648.0 ? static_cast<int32_t>(r)
-                                                  : INT32_MIN;
-    const uint32_t u = static_cast<uint32_t>(c);
-    out[i] = (u << 1) ^ static_cast<uint32_t>(c >> 31);
-  }
-  return max_code;
-}
-
-__attribute__((target("avx2"))) void ShiftToDoubleAvx2(const float* in,
-                                                       size_t n, double offset,
-                                                       double* out) {
-  const __m256d voff = _mm256_set1_pd(offset);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(in + i));
-    _mm256_storeu_pd(out + i, _mm256_sub_pd(d, voff));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(in[i]) - offset;
-}
-
-__attribute__((target("avx2"))) void ShiftToFloatAvx2(const double* in,
-                                                      size_t n, double offset,
-                                                      float* out) {
-  const __m256d voff = _mm256_set1_pd(offset);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_add_pd(_mm256_loadu_pd(in + i), voff);
-    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(d));
-  }
-  for (; i < n; ++i) out[i] = static_cast<float>(in[i] + offset);
-}
-
-__attribute__((target("avx2"))) float MaxAbsAvx2(const float* in, size_t n) {
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  __m256 vmax = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(in + i), abs_mask);
-    vmax = _mm256_blendv_ps(vmax, a, _mm256_cmp_ps(vmax, a, _CMP_LT_OQ));
-  }
-  float lanes[8];
-  _mm256_storeu_ps(lanes, vmax);
-  float m = 0.0f;
-  for (float l : lanes) m = std::max(m, l);
-  for (; i < n; ++i) m = std::max(m, std::fabs(in[i]));
-  return m;
-}
-
-__attribute__((target("avx2"))) void FloatToOrderedTruncAvx2(
-    const float* in, size_t n, uint32_t keep_mask, uint32_t* out) {
-  const __m256i sign_bit = _mm256_set1_epi32(
-      static_cast<int32_t>(0x80000000u));
-  const __m256i keep = _mm256_set1_epi32(static_cast<int32_t>(keep_mask));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i u =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    const __m256i s = _mm256_srai_epi32(u, 31);
-    const __m256i o = _mm256_xor_si256(u, _mm256_or_si256(s, sign_bit));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(o, keep));
-  }
-  for (; i < n; ++i) {
-    uint32_t u;
-    std::memcpy(&u, &in[i], 4);
-    out[i] = FloatBitsToOrdered(u) & keep_mask;
-  }
-}
-
-__attribute__((target("avx2"))) void OrderedToFloatsAvx2(const uint32_t* in,
-                                                         size_t n,
-                                                         float* out) {
-  const __m256i sign_bit = _mm256_set1_epi32(
-      static_cast<int32_t>(0x80000000u));
-  const __m256i ones = _mm256_set1_epi32(-1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    const __m256i s = _mm256_srai_epi32(o, 31);
-    const __m256i m =
-        _mm256_or_si256(_mm256_andnot_si256(s, ones), sign_bit);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_xor_si256(o, m));
-  }
-  for (; i < n; ++i) {
-    const uint32_t u = OrderedToFloatBits(in[i]);
-    std::memcpy(&out[i], &u, 4);
-  }
-}
-
-__attribute__((target("avx2"))) void QuantizeFixedPointAvx2(const float* in,
-                                                            size_t n,
-                                                            double scale,
-                                                            int64_t* out) {
-  // Round-to-nearest-even int64 conversion via the 2^52+2^51 magic
-  // constant; exact for |in * scale| < 2^51 (the zfp fixed-point range).
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d magic = _mm256_set1_pd(6755399441055744.0);  // 2^52 + 2^51
-  const __m256i magic_bits = _mm256_castpd_si256(magic);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d y =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(in + i)), vscale);
-    const __m256d shifted = _mm256_add_pd(y, magic);
-    const __m256i q =
-        _mm256_sub_epi64(_mm256_castpd_si256(shifted), magic_bits);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), q);
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int64_t>(
-        std::rint(static_cast<double>(in[i]) * scale));
-  }
-}
-
-// Arithmetic >> 1 for packed int64 (AVX2 has no _mm256_srai_epi64).
-__attribute__((target("avx2"))) inline __m256i Sra1Epi64(__m256i x) {
-  const __m256i top = _mm256_and_si256(
-      x, _mm256_set1_epi64x(static_cast<int64_t>(0x8000000000000000ull)));
-  return _mm256_or_si256(_mm256_srli_epi64(x, 1), top);
-}
-
-__attribute__((target("avx2"))) inline void FwdLiftVec(__m256i& x, __m256i& y,
-                                                       __m256i& z,
-                                                       __m256i& w) {
-  x = _mm256_add_epi64(x, w); x = Sra1Epi64(x); w = _mm256_sub_epi64(w, x);
-  z = _mm256_add_epi64(z, y); z = Sra1Epi64(z); y = _mm256_sub_epi64(y, z);
-  x = _mm256_add_epi64(x, z); x = Sra1Epi64(x); z = _mm256_sub_epi64(z, x);
-  w = _mm256_add_epi64(w, y); w = Sra1Epi64(w); y = _mm256_sub_epi64(y, w);
-  w = _mm256_add_epi64(w, Sra1Epi64(y)); y = _mm256_sub_epi64(y, Sra1Epi64(w));
-}
-
-__attribute__((target("avx2"))) inline void InvLiftVec(__m256i& x, __m256i& y,
-                                                       __m256i& z,
-                                                       __m256i& w) {
-  y = _mm256_add_epi64(y, Sra1Epi64(w)); w = _mm256_sub_epi64(w, Sra1Epi64(y));
-  y = _mm256_add_epi64(y, w); w = _mm256_slli_epi64(w, 1);
-  w = _mm256_sub_epi64(w, y);
-  z = _mm256_add_epi64(z, x); x = _mm256_slli_epi64(x, 1);
-  x = _mm256_sub_epi64(x, z);
-  y = _mm256_add_epi64(y, z); z = _mm256_slli_epi64(z, 1);
-  z = _mm256_sub_epi64(z, y);
-  w = _mm256_add_epi64(w, x); x = _mm256_slli_epi64(x, 1);
-  x = _mm256_sub_epi64(x, w);
-}
-
-__attribute__((target("avx2"))) inline void Transpose4x4Epi64(__m256i& a,
-                                                              __m256i& b,
-                                                              __m256i& c,
-                                                              __m256i& d) {
-  const __m256i t0 = _mm256_unpacklo_epi64(a, b);  // a0 b0 a2 b2
-  const __m256i t1 = _mm256_unpackhi_epi64(a, b);  // a1 b1 a3 b3
-  const __m256i t2 = _mm256_unpacklo_epi64(c, d);  // c0 d0 c2 d2
-  const __m256i t3 = _mm256_unpackhi_epi64(c, d);  // c1 d1 c3 d3
-  a = _mm256_permute2x128_si256(t0, t2, 0x20);     // a0 b0 c0 d0
-  b = _mm256_permute2x128_si256(t1, t3, 0x20);     // a1 b1 c1 d1
-  c = _mm256_permute2x128_si256(t0, t2, 0x31);     // a2 b2 c2 d2
-  d = _mm256_permute2x128_si256(t1, t3, 0x31);     // a3 b3 c3 d3
-}
-
-// x-axis lift of 4 consecutive rows: transpose in, lift vertically,
-// transpose back.
-template <bool kForward>
-__attribute__((target("avx2"))) inline void LiftRows4X(int64_t* b) {
-  __m256i r0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 0));
-  __m256i r1 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 4));
-  __m256i r2 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 8));
-  __m256i r3 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 12));
-  Transpose4x4Epi64(r0, r1, r2, r3);
-  if (kForward) {
-    FwdLiftVec(r0, r1, r2, r3);
-  } else {
-    InvLiftVec(r0, r1, r2, r3);
-  }
-  Transpose4x4Epi64(r0, r1, r2, r3);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 0), r0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 4), r1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 8), r2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 12), r3);
-}
-
-// Lift along a 4-apart (y within a plane) or 16-apart (z) stride: the four
-// inputs are already vertical vectors of 4 consecutive lanes.
-template <bool kForward>
-__attribute__((target("avx2"))) inline void LiftStrided(int64_t* b,
-                                                        size_t stride) {
-  __m256i x = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 0 * stride));
-  __m256i y = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 1 * stride));
-  __m256i z = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 2 * stride));
-  __m256i w = _mm256_loadu_si256(reinterpret_cast<__m256i*>(b + 3 * stride));
-  if (kForward) {
-    FwdLiftVec(x, y, z, w);
-  } else {
-    InvLiftVec(x, y, z, w);
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 0 * stride), x);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 1 * stride), y);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 2 * stride), z);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + 3 * stride), w);
-}
-
-__attribute__((target("avx2"))) void ZfpForwardTransformAvx2(int64_t* b,
-                                                             size_t nd) {
-  if (nd != 3) {
-    ZfpForwardTransformScalar(b, nd);
-    return;
-  }
-  for (size_t g = 0; g < 64; g += 16) LiftRows4X<true>(b + g);
-  for (size_t z = 0; z < 4; ++z) LiftStrided<true>(b + z * 16, 4);
-  LiftStrided<true>(b, 16);
-  LiftStrided<true>(b + 4, 16);
-  LiftStrided<true>(b + 8, 16);
-  LiftStrided<true>(b + 12, 16);
-}
-
-__attribute__((target("avx2"))) void ZfpInverseTransformAvx2(int64_t* b,
-                                                             size_t nd) {
-  if (nd != 3) {
-    ZfpInverseTransformScalar(b, nd);
-    return;
-  }
-  LiftStrided<false>(b, 16);
-  LiftStrided<false>(b + 4, 16);
-  LiftStrided<false>(b + 8, 16);
-  LiftStrided<false>(b + 12, 16);
-  for (size_t z = 0; z < 4; ++z) LiftStrided<false>(b + z * 16, 4);
-  for (size_t g = 0; g < 64; g += 16) LiftRows4X<false>(b + g);
-}
-
-// True when every gathered index for a run of `count` points at stride
-// `pt_step` fits a 32-bit gather index.
-inline bool GatherIndexFits(size_t pt_step, size_t count) {
-  return count == 0 ||
-         pt_step <= static_cast<size_t>(INT32_MAX) / (count + 1);
-}
-
-__attribute__((target("avx2"))) void CubicPredictAvx2(const float* rec,
-                                                      size_t lin0,
-                                                      size_t pt_step,
-                                                      size_t nbr, size_t count,
-                                                      double* pred) {
-  const float* pa = rec + (lin0 - 3 * nbr);
-  const float* pb = rec + (lin0 - nbr);
-  const float* pc = rec + (lin0 + nbr);
-  const float* pd = rec + (lin0 + 3 * nbr);
-  const __m256d cm1 = _mm256_set1_pd(-1.0 / 16.0);
-  const __m256d c9 = _mm256_set1_pd(9.0 / 16.0);
-  const __m256d c1 = _mm256_set1_pd(1.0 / 16.0);
-  const int step = static_cast<int>(pt_step);
-  __m256i idx = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                                   _mm256_set1_epi32(step));
-  const __m256i idx_inc = _mm256_set1_epi32(step * 8);
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256 a = _mm256_i32gather_ps(pa, idx, 4);
-    const __m256 bq = _mm256_i32gather_ps(pb, idx, 4);
-    const __m256 c = _mm256_i32gather_ps(pc, idx, 4);
-    const __m256 d = _mm256_i32gather_ps(pd, idx, 4);
-    for (int half = 0; half < 2; ++half) {
-      const __m128 a4 = half ? _mm256_extractf128_ps(a, 1)
-                             : _mm256_castps256_ps128(a);
-      const __m128 b4 = half ? _mm256_extractf128_ps(bq, 1)
-                             : _mm256_castps256_ps128(bq);
-      const __m128 c4 = half ? _mm256_extractf128_ps(c, 1)
-                             : _mm256_castps256_ps128(c);
-      const __m128 d4 = half ? _mm256_extractf128_ps(d, 1)
-                             : _mm256_castps256_ps128(d);
-      __m256d t = _mm256_add_pd(_mm256_mul_pd(_mm256_cvtps_pd(a4), cm1),
-                                _mm256_mul_pd(_mm256_cvtps_pd(b4), c9));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_cvtps_pd(c4), c9));
-      t = _mm256_sub_pd(t, _mm256_mul_pd(_mm256_cvtps_pd(d4), c1));
-      _mm256_storeu_pd(pred + i + half * 4, t);
-    }
-    idx = _mm256_add_epi32(idx, idx_inc);
-  }
-  for (; i < count; ++i) {
-    const size_t p = lin0 + i * pt_step;
-    pred[i] = -1.0 / 16.0 * rec[p - 3 * nbr] + 9.0 / 16.0 * rec[p - nbr] +
-              9.0 / 16.0 * rec[p + nbr] - 1.0 / 16.0 * rec[p + 3 * nbr];
-  }
-}
-
-__attribute__((target("avx2"))) void LinearPredictAvx2(const float* rec,
-                                                       size_t lin0,
-                                                       size_t pt_step,
-                                                       size_t nbr,
-                                                       size_t count,
-                                                       double* pred) {
-  const float* pl = rec + (lin0 - nbr);
-  const float* pr = rec + (lin0 + nbr);
-  const __m256d chalf = _mm256_set1_pd(0.5);
-  const int step = static_cast<int>(pt_step);
-  __m256i idx = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                                   _mm256_set1_epi32(step));
-  const __m256i idx_inc = _mm256_set1_epi32(step * 8);
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256 l = _mm256_i32gather_ps(pl, idx, 4);
-    const __m256 r = _mm256_i32gather_ps(pr, idx, 4);
-    // The reference adds the neighbors in FLOAT (rec[a] + rec[b] is a float
-    // expression) and only then widens; mirror that exactly.
-    const __m256 s = _mm256_add_ps(l, r);
-    for (int half = 0; half < 2; ++half) {
-      const __m128 s4 = half ? _mm256_extractf128_ps(s, 1)
-                             : _mm256_castps256_ps128(s);
-      const __m256d t = _mm256_mul_pd(chalf, _mm256_cvtps_pd(s4));
-      _mm256_storeu_pd(pred + i + half * 4, t);
-    }
-    idx = _mm256_add_epi32(idx, idx_inc);
-  }
-  for (; i < count; ++i) {
-    const size_t p = lin0 + i * pt_step;
-    pred[i] = 0.5 * (rec[p - nbr] + rec[p + nbr]);
-  }
-}
-
-__attribute__((target("avx2"))) void LiftPredictContiguousAvx2(
-    double* v, size_t lin0, size_t nbr, size_t count, bool has_right,
-    bool forward) {
-  const __m256d chalf = _mm256_set1_pd(0.5);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const size_t p = lin0 + i;
-    const __m256d left = _mm256_loadu_pd(v + p - nbr);
-    __m256d pred = left;
-    if (has_right) {
-      pred = _mm256_mul_pd(chalf,
-                           _mm256_add_pd(left, _mm256_loadu_pd(v + p + nbr)));
-    }
-    const __m256d center = _mm256_loadu_pd(v + p);
-    _mm256_storeu_pd(v + p, forward ? _mm256_sub_pd(center, pred)
-                                    : _mm256_add_pd(center, pred));
-  }
-  LiftPredictContiguousScalar(v, lin0 + i, nbr, count - i, has_right, forward);
-}
-
-__attribute__((target("avx2"))) void PlaneFitSumsAvx2(const float* vals,
-                                                      const double* cz,
-                                                      const double* cy,
-                                                      const double* cx,
-                                                      size_t n,
-                                                      double sums[7]) {
-  __m256d acc[7];
-  for (auto& a : acc) a = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(vals + i));
-    const __m256d z = _mm256_loadu_pd(cz + i);
-    const __m256d y = _mm256_loadu_pd(cy + i);
-    const __m256d x = _mm256_loadu_pd(cx + i);
-    acc[0] = _mm256_add_pd(acc[0], v);
-    acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(z, v));
-    acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(y, v));
-    acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(x, v));
-    acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(z, z));
-    acc[5] = _mm256_add_pd(acc[5], _mm256_mul_pd(y, y));
-    acc[6] = _mm256_add_pd(acc[6], _mm256_mul_pd(x, x));
-  }
-  if (i < n) {
-    // Zero-padded final group: zero lanes contribute nothing to any sum.
-    alignas(32) float vtail[4] = {0, 0, 0, 0};
-    alignas(32) double ztail[4] = {0, 0, 0, 0};
-    alignas(32) double ytail[4] = {0, 0, 0, 0};
-    alignas(32) double xtail[4] = {0, 0, 0, 0};
-    for (size_t j = 0; i + j < n; ++j) {
-      vtail[j] = vals[i + j];
-      ztail[j] = cz[i + j];
-      ytail[j] = cy[i + j];
-      xtail[j] = cx[i + j];
-    }
-    const __m256d v = _mm256_cvtps_pd(_mm_load_ps(vtail));
-    const __m256d z = _mm256_load_pd(ztail);
-    const __m256d y = _mm256_load_pd(ytail);
-    const __m256d x = _mm256_load_pd(xtail);
-    acc[0] = _mm256_add_pd(acc[0], v);
-    acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(z, v));
-    acc[2] = _mm256_add_pd(acc[2], _mm256_mul_pd(y, v));
-    acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(x, v));
-    acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(z, z));
-    acc[5] = _mm256_add_pd(acc[5], _mm256_mul_pd(y, y));
-    acc[6] = _mm256_add_pd(acc[6], _mm256_mul_pd(x, x));
-  }
-  for (int k = 0; k < 7; ++k) sums[k] = Reduce256(acc[k]);
-}
-
-__attribute__((target("avx2"))) void PlanePredictAvx2(
-    const double* cz, const double* cy, const double* cx, size_t n, double c0,
-    double az, double ay, double ax, double* pred) {
-  const __m256d vc0 = _mm256_set1_pd(c0);
-  const __m256d vaz = _mm256_set1_pd(az);
-  const __m256d vay = _mm256_set1_pd(ay);
-  const __m256d vax = _mm256_set1_pd(ax);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d t =
-        _mm256_add_pd(vc0, _mm256_mul_pd(vaz, _mm256_loadu_pd(cz + i)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(vay, _mm256_loadu_pd(cy + i)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(vax, _mm256_loadu_pd(cx + i)));
-    _mm256_storeu_pd(pred + i, t);
-  }
-  for (; i < n; ++i) {
-    pred[i] = c0 + az * cz[i] + ay * cy[i] + ax * cx[i];
-  }
-}
-
-__attribute__((target("avx2"))) double PlaneAbsErrAvx2(
-    const float* vals, const double* cz, const double* cy, const double* cx,
-    size_t n, double c0, double az, double ay, double ax) {
-  const __m256d vc0 = _mm256_set1_pd(c0);
-  const __m256d vaz = _mm256_set1_pd(az);
-  const __m256d vay = _mm256_set1_pd(ay);
-  const __m256d vax = _mm256_set1_pd(ax);
-  const __m256d abs_mask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(vals + i));
-    __m256d t =
-        _mm256_add_pd(vc0, _mm256_mul_pd(vaz, _mm256_loadu_pd(cz + i)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(vay, _mm256_loadu_pd(cy + i)));
-    t = _mm256_add_pd(t, _mm256_mul_pd(vax, _mm256_loadu_pd(cx + i)));
-    acc = _mm256_add_pd(acc, _mm256_and_pd(_mm256_sub_pd(v, t), abs_mask));
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  for (size_t j = 0; i + j < n; ++j) {
-    const size_t k = i + j;
-    const double p = c0 + az * cz[k] + ay * cy[k] + ax * cx[k];
-    lanes[(k) & 3] += std::fabs(static_cast<double>(vals[k]) - p);
-  }
-  return ReduceLanes4(lanes);
-}
-
-// --- SSE4.2 variants for the cheap elementwise maps ----------------------
-
-__attribute__((target("sse4.2"))) void DequantizeZigZagSse42(
-    const uint32_t* codes, size_t n, double step, double* out) {
-  const __m128d vstep = _mm_set1_pd(step);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    const __m128i half = _mm_srli_epi32(u, 1);
-    const __m128i sign = _mm_sub_epi32(_mm_setzero_si128(),
-                                       _mm_and_si128(u, _mm_set1_epi32(1)));
-    const __m128i v = _mm_xor_si128(half, sign);
-    _mm_storeu_pd(out + i, _mm_mul_pd(_mm_cvtepi32_pd(v), vstep));
-    _mm_storeu_pd(out + i + 2,
-                  _mm_mul_pd(_mm_cvtepi32_pd(_mm_srli_si128(v, 8)), vstep));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
-  }
-}
-
-__attribute__((target("sse4.2"))) void FloatToOrderedTruncSse42(
-    const float* in, size_t n, uint32_t keep_mask, uint32_t* out) {
-  const __m128i sign_bit = _mm_set1_epi32(static_cast<int32_t>(0x80000000u));
-  const __m128i keep = _mm_set1_epi32(static_cast<int32_t>(keep_mask));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128i s = _mm_srai_epi32(u, 31);
-    const __m128i o = _mm_xor_si128(u, _mm_or_si128(s, sign_bit));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_and_si128(o, keep));
-  }
-  for (; i < n; ++i) {
-    uint32_t u;
-    std::memcpy(&u, &in[i], 4);
-    out[i] = FloatBitsToOrdered(u) & keep_mask;
-  }
-}
-
-__attribute__((target("sse4.2"))) void OrderedToFloatsSse42(const uint32_t* in,
-                                                            size_t n,
-                                                            float* out) {
-  const __m128i sign_bit = _mm_set1_epi32(static_cast<int32_t>(0x80000000u));
-  const __m128i ones = _mm_set1_epi32(-1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i o =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128i s = _mm_srai_epi32(o, 31);
-    const __m128i m = _mm_or_si128(_mm_andnot_si128(s, ones), sign_bit);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_xor_si128(o, m));
-  }
-  for (; i < n; ++i) {
-    const uint32_t u = OrderedToFloatBits(in[i]);
-    std::memcpy(&out[i], &u, 4);
-  }
-}
-
-__attribute__((target("sse4.2"))) float MaxAbsSse42(const float* in,
-                                                    size_t n) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-  __m128 vmax = _mm_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 a = _mm_and_ps(_mm_loadu_ps(in + i), abs_mask);
-    vmax = _mm_blendv_ps(vmax, a, _mm_cmplt_ps(vmax, a));
-  }
-  float lanes[4];
-  _mm_storeu_ps(lanes, vmax);
-  float m = 0.0f;
-  for (float l : lanes) m = std::max(m, l);
-  for (; i < n; ++i) m = std::max(m, std::fabs(in[i]));
-  return m;
-}
-
-}  // namespace
-
-#endif  // FXRZ_SIMD_HAVE_X86 && !FXRZ_SIMD_DISABLED
-
-// ---------------------------------------------------------------------------
-// NEON variants (aarch64 baseline ISA) for the elementwise maps; the
-// heavier kernels fall back to scalar on ARM.
-// ---------------------------------------------------------------------------
-
-#if defined(FXRZ_SIMD_HAVE_NEON) && !defined(FXRZ_SIMD_DISABLED)
-
-namespace {
-
-void DequantizeZigZagNeon(const uint32_t* codes, size_t n, double step,
-                          double* out) {
-  const float64x2_t vstep = vdupq_n_f64(step);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t u = vld1q_u32(codes + i);
-    const uint32x4_t half = vshrq_n_u32(u, 1);
-    const uint32x4_t sign =
-        vnegq_s32(vreinterpretq_s32_u32(vandq_u32(u, vdupq_n_u32(1))));
-    const int32x4_t v =
-        vreinterpretq_s32_u32(veorq_u32(half, vreinterpretq_u32_s32(sign)));
-    const float64x2_t lo = vcvtq_f64_s64(vmovl_s32(vget_low_s32(v)));
-    const float64x2_t hi = vcvtq_f64_s64(vmovl_s32(vget_high_s32(v)));
-    vst1q_f64(out + i, vmulq_f64(lo, vstep));
-    vst1q_f64(out + i + 2, vmulq_f64(hi, vstep));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<double>(UnZigZag32(codes[i])) * step;
-  }
-}
-
-void FloatToOrderedTruncNeon(const float* in, size_t n, uint32_t keep_mask,
-                             uint32_t* out) {
-  const uint32x4_t sign_bit = vdupq_n_u32(0x80000000u);
-  const uint32x4_t keep = vdupq_n_u32(keep_mask);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t u = vreinterpretq_u32_f32(vld1q_f32(in + i));
-    const uint32x4_t s =
-        vreinterpretq_u32_s32(vshrq_n_s32(vreinterpretq_s32_u32(u), 31));
-    const uint32x4_t o = veorq_u32(u, vorrq_u32(s, sign_bit));
-    vst1q_u32(out + i, vandq_u32(o, keep));
-  }
-  for (; i < n; ++i) {
-    uint32_t u;
-    std::memcpy(&u, &in[i], 4);
-    out[i] = FloatBitsToOrdered(u) & keep_mask;
-  }
-}
-
-void OrderedToFloatsNeon(const uint32_t* in, size_t n, float* out) {
-  const uint32x4_t sign_bit = vdupq_n_u32(0x80000000u);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t o = vld1q_u32(in + i);
-    const uint32x4_t s =
-        vreinterpretq_u32_s32(vshrq_n_s32(vreinterpretq_s32_u32(o), 31));
-    const uint32x4_t m = vorrq_u32(vmvnq_u32(s), sign_bit);
-    vst1q_f32(out + i, vreinterpretq_f32_u32(veorq_u32(o, m)));
-  }
-  for (; i < n; ++i) {
-    const uint32_t u = OrderedToFloatBits(in[i]);
-    std::memcpy(&out[i], &u, 4);
-  }
-}
-
-float MaxAbsNeon(const float* in, size_t n) {
-  float32x4_t vmax = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t a = vabsq_f32(vld1q_f32(in + i));
-    // max(acc, a) with NaN losing, mirroring std::max.
-    vmax = vbslq_f32(vcltq_f32(vmax, a), a, vmax);
-  }
-  float lanes[4];
-  vst1q_f32(lanes, vmax);
-  float m = 0.0f;
-  for (float l : lanes) m = std::max(m, l);
-  for (; i < n; ++i) m = std::max(m, std::fabs(in[i]));
-  return m;
-}
-
-}  // namespace
-
-#endif  // FXRZ_SIMD_HAVE_NEON && !FXRZ_SIMD_DISABLED
-
-// ---------------------------------------------------------------------------
-// Detection and dispatch.
-// ---------------------------------------------------------------------------
-
-Level DetectedLevel() {
-#if defined(FXRZ_SIMD_DISABLED)
-  return Level::kScalar;
-#elif defined(FXRZ_SIMD_HAVE_X86)
-  static const Level detected = [] {
-    if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-    if (__builtin_cpu_supports("sse4.2")) return Level::kSSE42;
-    return Level::kScalar;
-  }();
-  return detected;
-#elif defined(FXRZ_SIMD_HAVE_NEON)
-  return Level::kNEON;
-#else
-  return Level::kScalar;
-#endif
-}
-
-Level ActiveLevel() {
-  int lvl = g_active.load(std::memory_order_relaxed);
-  if (lvl < 0) {
-    lvl = static_cast<int>(DetectedLevel());
-    g_active.store(lvl, std::memory_order_relaxed);
-  }
-  return static_cast<Level>(lvl);
-}
-
-Level ForceLevel(Level level) {
-  const Level detected = DetectedLevel();
-  // Supported ladder: {kScalar} plus x86 tiers up to `detected`, or kNEON.
-  auto supported = [detected](Level l) {
-    if (l == Level::kScalar) return true;
-    if (l == Level::kNEON) return detected == Level::kNEON;
-    return detected == Level::kAVX2 ||
-           (detected == Level::kSSE42 && l == Level::kSSE42);
-  };
-  Level effective = level;
-  if (!supported(effective)) {
-    // Clamp to the highest supported tier at or below the request.
-    effective = Level::kScalar;
-    if (static_cast<int>(level) >= static_cast<int>(Level::kSSE42) &&
-        supported(Level::kSSE42)) {
-      effective = Level::kSSE42;
-    }
-    if (static_cast<int>(level) >= static_cast<int>(Level::kAVX2) &&
-        supported(Level::kAVX2)) {
-      effective = Level::kAVX2;
-    }
-  }
-  g_active.store(static_cast<int>(effective), std::memory_order_relaxed);
-  return effective;
-}
-
-const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSSE42:
-      return "sse4.2";
-    case Level::kAVX2:
-      return "avx2";
-    case Level::kNEON:
-      return "neon";
-  }
-  return "unknown";
-}
-
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-#define FXRZ_DISPATCH_X86(call_avx2, call_sse42)   \
-  do {                                             \
-    const Level lvl = ActiveLevel();               \
-    if (lvl == Level::kAVX2) {                     \
-      call_avx2;                                   \
-    } else if (lvl == Level::kSSE42) {             \
-      call_sse42;                                  \
-    }                                              \
-  } while (0)
-#endif
-
-void DequantizeZigZag(const uint32_t* codes, size_t n, double step,
-                      double* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  const Level lvl = ActiveLevel();
-  if (lvl == Level::kAVX2) return DequantizeZigZagAvx2(codes, n, step, out);
-  if (lvl == Level::kSSE42) return DequantizeZigZagSse42(codes, n, step, out);
-#elif defined(FXRZ_SIMD_HAVE_NEON) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kNEON) {
-    return DequantizeZigZagNeon(codes, n, step, out);
-  }
-#endif
-  DequantizeZigZagScalar(codes, n, step, out);
-}
-
-double QuantizeZigZag(const double* v, size_t n, double step, uint32_t* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return QuantizeZigZagAvx2(v, n, step, out);
-  }
-#endif
-  return QuantizeZigZagScalar(v, n, step, out);
-}
-
-void ShiftToDouble(const float* in, size_t n, double offset, double* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return ShiftToDoubleAvx2(in, n, offset, out);
-  }
-#endif
-  ShiftToDoubleScalar(in, n, offset, out);
-}
-
-void ShiftToFloat(const double* in, size_t n, double offset, float* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return ShiftToFloatAvx2(in, n, offset, out);
-  }
-#endif
-  ShiftToFloatScalar(in, n, offset, out);
-}
-
-float MaxAbs(const float* in, size_t n) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  const Level lvl = ActiveLevel();
-  if (lvl == Level::kAVX2) return MaxAbsAvx2(in, n);
-  if (lvl == Level::kSSE42) return MaxAbsSse42(in, n);
-#elif defined(FXRZ_SIMD_HAVE_NEON) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kNEON) return MaxAbsNeon(in, n);
-#endif
-  return MaxAbsScalar(in, n);
-}
-
-void FloatToOrderedTrunc(const float* in, size_t n, uint32_t keep_mask,
-                         uint32_t* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  const Level lvl = ActiveLevel();
-  if (lvl == Level::kAVX2) {
-    return FloatToOrderedTruncAvx2(in, n, keep_mask, out);
-  }
-  if (lvl == Level::kSSE42) {
-    return FloatToOrderedTruncSse42(in, n, keep_mask, out);
-  }
-#elif defined(FXRZ_SIMD_HAVE_NEON) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kNEON) {
-    return FloatToOrderedTruncNeon(in, n, keep_mask, out);
-  }
-#endif
-  FloatToOrderedTruncScalar(in, n, keep_mask, out);
-}
-
-void OrderedToFloats(const uint32_t* in, size_t n, float* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  const Level lvl = ActiveLevel();
-  if (lvl == Level::kAVX2) return OrderedToFloatsAvx2(in, n, out);
-  if (lvl == Level::kSSE42) return OrderedToFloatsSse42(in, n, out);
-#elif defined(FXRZ_SIMD_HAVE_NEON) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kNEON) return OrderedToFloatsNeon(in, n, out);
-#endif
-  OrderedToFloatsScalar(in, n, out);
-}
-
-void QuantizeFixedPoint(const float* in, size_t n, double scale,
-                        int64_t* out) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return QuantizeFixedPointAvx2(in, n, scale, out);
-  }
-#endif
-  QuantizeFixedPointScalar(in, n, scale, out);
-}
-
-void ZfpForwardTransform(int64_t* block, size_t nd) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return ZfpForwardTransformAvx2(block, nd);
-  }
-#endif
-  ZfpForwardTransformScalar(block, nd);
-}
-
-void ZfpInverseTransform(int64_t* block, size_t nd) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return ZfpInverseTransformAvx2(block, nd);
-  }
-#endif
-  ZfpInverseTransformScalar(block, nd);
-}
-
-void CubicPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
-                  size_t count, double* pred) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2 && GatherIndexFits(pt_step, count)) {
-    return CubicPredictAvx2(rec, lin0, pt_step, nbr, count, pred);
-  }
-#endif
-  CubicPredictScalar(rec, lin0, pt_step, nbr, count, pred);
-}
-
-void LinearPredict(const float* rec, size_t lin0, size_t pt_step, size_t nbr,
-                   size_t count, double* pred) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2 && GatherIndexFits(pt_step, count)) {
-    return LinearPredictAvx2(rec, lin0, pt_step, nbr, count, pred);
-  }
-#endif
-  LinearPredictScalar(rec, lin0, pt_step, nbr, count, pred);
-}
-
-void LiftPredictContiguous(double* v, size_t lin0, size_t nbr, size_t count,
-                           bool has_right, bool forward) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return LiftPredictContiguousAvx2(v, lin0, nbr, count, has_right, forward);
-  }
-#endif
-  LiftPredictContiguousScalar(v, lin0, nbr, count, has_right, forward);
-}
-
-void PlaneFitSums(const float* vals, const double* cz, const double* cy,
-                  const double* cx, size_t n, double sums[7]) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return PlaneFitSumsAvx2(vals, cz, cy, cx, n, sums);
-  }
-#endif
-  PlaneFitSumsScalar(vals, cz, cy, cx, n, sums);
-}
-
-void PlanePredict(const double* cz, const double* cy, const double* cx,
-                  size_t n, double c0, double az, double ay, double ax,
-                  double* pred) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return PlanePredictAvx2(cz, cy, cx, n, c0, az, ay, ax, pred);
-  }
-#endif
-  PlanePredictScalar(cz, cy, cx, n, c0, az, ay, ax, pred);
-}
-
-double PlaneAbsErr(const float* vals, const double* cz, const double* cy,
-                   const double* cx, size_t n, double c0, double az, double ay,
-                   double ax) {
-#if defined(FXRZ_SIMD_HAVE_X86) && !defined(FXRZ_SIMD_DISABLED)
-  if (ActiveLevel() == Level::kAVX2) {
-    return PlaneAbsErrAvx2(vals, cz, cy, cx, n, c0, az, ay, ax);
-  }
-#endif
-  return PlaneAbsErrScalar(vals, cz, cy, cx, n, c0, az, ay, ax);
 }
 
 }  // namespace simd

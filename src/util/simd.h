@@ -1,26 +1,21 @@
-// Portable SIMD shim: runtime-dispatched vector kernels for the codec hot
-// loops, with a scalar fallback that is bit-identical to every vector path.
+// Scalar kernels for the codec hot loops; their evaluation order is part of
+// the archive format.
 //
-// Design rules (enforced by tests/util/simd_test.cc and the archive-level
-// equivalence suite in tests/compressors/simd_equivalence_test.cc):
+// Every archive byte and every decoded float depends on how these loops
+// round, so the order below is a contract, not an implementation detail
+// (tests/util/simd_test.cc checks each kernel against a written-out
+// reference; tests/compressors/archive_pinning_test.cc pins whole archives):
 //
-//  * Every kernel's semantics are defined by its scalar variant. Vector
-//    variants must produce byte-identical output for all inputs, so archives
-//    written on an AVX2 machine decode bit-exactly on a scalar-only one.
 //  * Floating-point reductions are lane-partitioned: lane j accumulates
-//    elements j, j+4, j+8, ... and the final reduce is (l0+l2)+(l1+l3),
-//    matching how a 256-bit accumulator folds. The scalar variant uses the
-//    same 4-lane schedule, so both paths round identically.
+//    elements j, j+4, j+8, ... and the final reduce is (l0+l2)+(l1+l3).
+//  * Expressions evaluate left to right exactly as written; LinearPredict
+//    adds its two float neighbors in float before widening to double.
 //  * simd.cc is compiled with -ffp-contract=off so the compiler cannot fuse
-//    a*b+c into an FMA in one path but not the other.
+//    a*b+c into an FMA.
 //  * Rounding uses rint() semantics (round-half-to-even, the hardware
-//    default), which maps 1:1 onto vector rounding instructions.
+//    default).
 //
-// Dispatch: DetectedLevel() probes the CPU once (__builtin_cpu_supports on
-// x86; NEON is baseline on aarch64). ForceLevel() clamps to the detected
-// level and exists so tests can pin the scalar path on vector hardware.
-// Building with -DFXRZ_SIMD=OFF defines FXRZ_SIMD_DISABLED and compiles the
-// vector variants out entirely.
+// The file and namespace keep their historical "simd" name.
 
 #ifndef FXRZ_UTIL_SIMD_H_
 #define FXRZ_UTIL_SIMD_H_
@@ -30,27 +25,6 @@
 
 namespace fxrz {
 namespace simd {
-
-enum class Level : int {
-  kScalar = 0,
-  kSSE42 = 1,
-  kAVX2 = 2,
-  kNEON = 3,
-};
-
-// Best level this CPU supports (kScalar when FXRZ_SIMD=OFF).
-Level DetectedLevel();
-
-// Level the kernels currently dispatch to. Defaults to DetectedLevel().
-Level ActiveLevel();
-
-// Pins dispatch to min(level, DetectedLevel()) and returns the level that
-// actually took effect. Used by tests and the bench harness to compare
-// scalar and vector paths on the same machine.
-Level ForceLevel(Level level);
-
-// Human-readable name ("scalar", "sse4.2", "avx2", "neon").
-const char* LevelName(Level level);
 
 // ---------------------------------------------------------------------------
 // Quantization / dequantization (sz, sz3, mgard).
@@ -62,7 +36,7 @@ void DequantizeZigZag(const uint32_t* codes, size_t n, double step,
 
 // codes[i] = ZigZag(rint(v[i] / step)). Returns max_i |rint(v[i] / step)| as
 // a double so callers can validate the quantizer stayed in int32 range
-// BEFORE trusting the codes (codes are garbage for out-of-range lanes).
+// BEFORE trusting the codes (out-of-range values get a sentinel code).
 double QuantizeZigZag(const double* v, size_t n, double step, uint32_t* out);
 
 // out[i] = double(in[i]) - offset.
@@ -71,8 +45,7 @@ void ShiftToDouble(const float* in, size_t n, double offset, double* out);
 // out[i] = float(in[i] + offset).
 void ShiftToFloat(const double* in, size_t n, double offset, float* out);
 
-// max_i |in[i]| over floats (0.0f for n == 0). Order-independent, so any
-// vector schedule is exact.
+// max_i |in[i]| over floats (0.0f for n == 0; NaN elements are skipped).
 float MaxAbs(const float* in, size_t n);
 
 // ---------------------------------------------------------------------------
